@@ -9,7 +9,7 @@ CHURN_SMOKE_OUT ?= /tmp/aggregathor-scenario-churn-smoke.json
 
 BENCH_JSON_DIR ?= .
 
-.PHONY: all vet lint escape-check guard-matrix-check directives check build test race fuzz smoke smoke-tcp smoke-udp smoke-model-loss smoke-wire smoke-async smoke-churn bench-json ci clean
+.PHONY: all vet lint escape-check guard-matrix-check directives check build test race fuzz smoke smoke-tcp smoke-udp smoke-model-loss smoke-wire smoke-async smoke-churn bench-json perfbench ci clean
 
 all: ci
 
@@ -113,6 +113,13 @@ smoke-churn:
 # across commits on the same machine.
 bench-json:
 	$(GO) run ./cmd/bench -json -out $(BENCH_JSON_DIR)
+
+# Test the repository benchmark module (perfbench/, its own Go module) and
+# run a short untraced udp-lossy workload through perfbench/run.py. Full runs:
+# python3 perfbench/run.py --workload W --seed N --seconds 20 --trace 0|1
+perfbench:
+	cd perfbench && $(GO) test ./...
+	python3 perfbench/run.py --workload udp-lossy --seconds 5 --trace 0
 
 ci: vet lint escape-check guard-matrix-check build race smoke smoke-tcp smoke-udp smoke-model-loss smoke-wire smoke-async smoke-churn
 

@@ -706,6 +706,52 @@ func BenchmarkTransport_SendAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkTransport_RecvAllocs pins the zero-allocation receive contract:
+// on a warm receiver, UDPReceiver.RecvPacket (recvmmsg into the receive
+// arena, then decode into the receiver's scratch packet) performs zero
+// steady-state allocations. Each op writes one pre-encoded datagram from a
+// raw connected socket (a plain Write, which does not allocate) and
+// receives it. The reported allocs/op must be 0.
+func BenchmarkTransport_RecvAllocs(b *testing.B) {
+	codec := transport.Codec{Float32: true}
+	recv, err := transport.ListenUDP("127.0.0.1:0", codec, transport.DropGradient, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer recv.Close()
+	raddr, err := net.ResolveUDPAddr("udp", recv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	grad := randGrads(20, 1, 10_000)[0]
+	pkts := codec.Split(&transport.GradientMsg{Worker: 1, Step: 2, Grad: grad}, transport.DefaultMTU)
+	datagram := codec.EncodePacket(&pkts[0])
+	roundTrip := func() {
+		if _, err := src.Write(datagram); err != nil {
+			b.Fatal(err)
+		}
+		pkt, err := recv.RecvPacket(5 * time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pkt.Worker != 1 || len(pkt.Coords) != len(pkts[0].Coords) {
+			b.Fatalf("received worker %d with %d coords", pkt.Worker, len(pkt.Coords))
+		}
+	}
+	roundTrip() // warm the decode scratch
+	b.SetBytes(int64(len(datagram)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}
+
 // BenchmarkAblation_SelectionSize quantifies the appendix's slowdown claim:
 // convergence goes as O(1/√m), so Krum (m=1) needs more steps than
 // Multi-Krum at the maximal m = n−f−2 to reach the same target. Reported as

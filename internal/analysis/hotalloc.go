@@ -6,16 +6,18 @@ import (
 
 // hotFuncNames are the functions that form the zero-allocation hot paths:
 // every WorkspaceGAR kernel (AggregateInto, enforced at runtime by
-// TestWorkspaceZeroSteadyStateAllocs) and the packet encode path that PR 6
-// drove to 0 allocs/packet. The gcflags=-m escape baseline (see cmd/aggrevet
+// TestWorkspaceZeroSteadyStateAllocs) and the datagram encode and decode
+// paths, held at 0 allocs/packet by the SendAllocs and RecvAllocs
+// benchmarks. The gcflags=-m escape baseline (see cmd/aggrevet
 // -escape) covers what this syntactic pass cannot see — allocations the
 // compiler introduces for escaping locals.
 var hotFuncNames = map[string]bool{
-	"AggregateInto": true, // gar workspace kernels
-	"AppendPacket":  true, // transport zero-copy packet encode
-	"SplitInto":     true, // transport gradient → packet slicing
-	"putCoords":     true, // transport coordinate encode
-	"getCoords":     true, // transport coordinate decode
+	"AggregateInto":    true, // gar workspace kernels
+	"AppendPacket":     true, // transport zero-copy packet encode
+	"SplitInto":        true, // transport gradient → packet slicing
+	"putCoords":        true, // transport coordinate encode
+	"getCoords":        true, // transport coordinate decode
+	"DecodePacketInto": true, // transport zero-alloc datagram decode
 }
 
 // HotAlloc flags allocation sites inside the hot functions: make, new,

@@ -3,6 +3,7 @@ package attack
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aggregathor/internal/gar"
@@ -266,6 +267,56 @@ func TestAttacksEmptyHonestSafe(t *testing.T) {
 		v := a.Forge(ctx)
 		if v.Dim() != 4 {
 			t.Fatalf("%s: dim %d, want 4", name, v.Dim())
+		}
+	}
+}
+
+// TestUninformedAttacksIgnoreHonest pins the contract the socket backends
+// rely on to skip the honest-peer oracle: an attack that does not implement
+// Informed (or reports RequiresHonest false) must forge the same bits
+// whether or not Context.Honest is populated, as long as Own is set and the
+// Rng is seeded the same. Each attack gets fresh instances per side, so
+// stateful attacks are compared over several steps.
+func TestUninformedAttacksIgnoreHonest(t *testing.T) {
+	var blind []string
+	for _, name := range Names() {
+		a, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inf, ok := a.(Informed); ok && inf.RequiresHonest() {
+			continue
+		}
+		blind = append(blind, name)
+		withHonest, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withoutHonest, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 3; step++ {
+			full := testCtx(rand.New(rand.NewSource(int64(40+step))), 6, 32)
+			full.Step = step
+			full.Rng = rand.New(rand.NewSource(7))
+			bare := *full
+			bare.Honest = nil
+			bare.Rng = rand.New(rand.NewSource(7))
+			a, b := withHonest.Forge(full), withoutHonest.Forge(&bare)
+			if a.Dim() != b.Dim() {
+				t.Fatalf("%s step %d: dim %d with Honest, %d without", name, step, a.Dim(), b.Dim())
+			}
+			for j := range a {
+				if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+					t.Fatalf("%s step %d coord %d: %v with Honest, %v without", name, step, j, a[j], b[j])
+				}
+			}
+		}
+	}
+	for _, want := range []string{"random", "reversed", "non-finite"} {
+		if !slices.Contains(blind, want) {
+			t.Fatalf("attack %q expected to be uninformed; uninformed set %v", want, blind)
 		}
 	}
 }

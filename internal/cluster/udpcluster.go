@@ -707,21 +707,8 @@ func (c *UDPCluster) Step() (*ps.StepResult, error) {
 		}
 	}
 
-	// Broadcast phase. Suspected workers are included — a straggler that
-	// recovers can rejoin the round. Scheduled downlink drops are applied
-	// before the write (SendPackets takes the mask), mirroring the uplink
-	// design. Paced writes to a live socket never block for long, so
-	// sequential sends are fine.
-	c.modelPktScratch = c.cfg.Codec.SplitInto(c.modelPktScratch[:0], &transport.GradientMsg{
-		Worker: transport.ModelWorkerID, Step: c.step, Grad: c.params,
-	}, c.cfg.MTU)
-	for id, s := range c.modelSenders {
-		if phases != nil && phases[id] == ps.ChurnDown {
-			continue // down worker: no broadcast (a crashing one still gets its last)
-		}
-		if err := s.SendPackets(c.modelPktScratch, modelDrop[id]); err != nil {
-			return nil, fmt.Errorf("cluster: model broadcast to worker %d at step %d: %w", id, c.step, err)
-		}
+	if err := c.broadcast(phases, modelDrop); err != nil {
+		return nil, err
 	}
 
 	// The server evaluates every worker's uplink drop schedule itself:
@@ -926,6 +913,40 @@ func (c *UDPCluster) Step() (*ps.StepResult, error) {
 	c.server.SetParamsVector(c.params)
 	c.step++
 	return res, nil
+}
+
+// broadcast sends the current model to every worker. Suspected workers are
+// included — a straggler that recovers can rejoin the round. Scheduled
+// downlink drops are applied before the write (SendPackets takes the mask),
+// mirroring the uplink design. Every pacing sleep of a sequential fan-out
+// would add to the round, so the sends run concurrently, one goroutine per
+// worker: each sender owns its socket, encode arena and pacing state, and
+// the split packets are only read. Only timing changes, never content. When
+// several sends fail, the lowest worker id's error is returned, whichever
+// failed first.
+func (c *UDPCluster) broadcast(phases []ps.ChurnPhase, modelDrop [][]bool) error {
+	c.modelPktScratch = c.cfg.Codec.SplitInto(c.modelPktScratch[:0], &transport.GradientMsg{
+		Worker: transport.ModelWorkerID, Step: c.step, Grad: c.params,
+	}, c.cfg.MTU)
+	errs := make([]error, len(c.modelSenders))
+	var wg sync.WaitGroup
+	for id, s := range c.modelSenders {
+		if phases != nil && phases[id] == ps.ChurnDown {
+			continue // down worker: no broadcast (a crashing one still gets its last)
+		}
+		wg.Add(1)
+		go func(id int, s *transport.UDPSender) {
+			defer wg.Done()
+			errs[id] = s.SendPackets(c.modelPktScratch, modelDrop[id])
+		}(id, s)
+	}
+	wg.Wait()
+	for id, err := range errs {
+		if err != nil {
+			return fmt.Errorf("cluster: model broadcast to worker %d at step %d: %w", id, c.step, err)
+		}
+	}
+	return nil
 }
 
 // settleLost resolves worker id's partial gradient whose remaining

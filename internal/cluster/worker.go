@@ -30,7 +30,8 @@ type workerSpec struct {
 }
 
 // clusterWorker is one worker node's state: its model replica, seeded
-// sampler, attack RNG, and — for Byzantine workers — the omniscient oracle.
+// sampler, attack RNG, and — for workers running an informed attack — the
+// omniscient oracle.
 type clusterWorker struct {
 	id      int
 	spec    workerSpec
@@ -46,7 +47,8 @@ type clusterWorker struct {
 	// dataset and the model, it replicates every honest worker's sampler
 	// and derives the exact gradients the server is about to receive. This
 	// keeps informed attacks (omniscient, little-is-enough, ...) available
-	// over the wire and bit-identical to the in-process backend.
+	// over the wire and bit-identical to the in-process backend. Nil for
+	// honest workers and blind attacks.
 	peers        []int
 	peerReplica  *nn.Network
 	peerSamplers map[int]data.Sampler
@@ -74,6 +76,13 @@ func newClusterWorker(id int, spec workerSpec) (*clusterWorker, error) {
 			return nil, err
 		}
 		w.atk = atk
+		// Only informed attacks read the honest gradients (blind ones
+		// forge from Own, which every worker computes anyway), so only
+		// they pay for the oracle: replicating every honest peer costs one
+		// extra forward/backward per peer per round.
+		if inf, ok := atk.(attack.Informed); !ok || !inf.RequiresHonest() {
+			return w, nil
+		}
 		w.peerReplica = spec.ModelFactory()
 		w.peerSamplers = map[int]data.Sampler{}
 		for p := 0; p < spec.Workers; p++ {
@@ -95,7 +104,7 @@ func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.Gradien
 	x, y := w.sampler.Sample(w.spec.Batch)
 	loss, grad := w.replica.Gradient(x, y)
 	if w.atk != nil {
-		var honest []tensor.Vector
+		var honest []tensor.Vector // nil for blind attacks: no oracle
 		if len(w.peers) > 0 {
 			w.peerReplica.SetParamsVector(model.Params)
 			for _, p := range w.peers {

@@ -14,6 +14,8 @@ import (
 // the exact input bytes (decode is the inverse of encode on its image), and
 // anything accepted under one width must be rejected by the opposite-width
 // codec with ErrWireFormat — the loud mismatch the width byte exists for.
+// Under both widths, decoding into a dirty, reused packet (the receiver's
+// zero-allocation path) must agree with DecodePacket exactly.
 func FuzzDecodePacket(f *testing.F) {
 	for _, c := range []Codec{{Float32: true}, {Float32: false}} {
 		msg := &GradientMsg{Worker: 3, Step: 41, Grad: tensor.Vector{1.5, -2.25, math.Pi, 0}}
@@ -31,6 +33,15 @@ func FuzzDecodePacket(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, float32Wire bool) {
 		c := Codec{Float32: float32Wire}
+		// One scratch packet reused across both widths, starting dirty with
+		// a capacity that sometimes fits the payload and sometimes not.
+		dirty := make(tensor.Vector, 1+len(data)%97)
+		for i := range dirty {
+			dirty[i] = math.Inf(-1)
+		}
+		scratch := &Packet{Worker: -7, Step: 99, Loss: math.NaN(), Dim: 5, Offset: 2, Coords: dirty[:1]}
+		checkDecodeIntoParity(t, c, data, scratch)
+		checkDecodeIntoParity(t, Codec{Float32: !float32Wire}, data, scratch)
 		p, err := c.DecodePacket(data)
 		if err != nil {
 			if p != nil {
@@ -50,6 +61,47 @@ func FuzzDecodePacket(f *testing.F) {
 			t.Fatalf("opposite-width decode: want ErrWireFormat, got %v", err)
 		}
 	})
+}
+
+// checkDecodeIntoParity decodes data with DecodePacket and with
+// DecodePacketInto into the reused scratch packet and requires the same
+// outcome: the same error (class and text), or the same header fields and
+// coordinate bits. A failed decode must leave the scratch untouched.
+func checkDecodeIntoParity(t *testing.T, c Codec, data []byte, scratch *Packet) {
+	t.Helper()
+	before := *scratch
+	want, wantErr := c.DecodePacket(data)
+	gotErr := c.DecodePacketInto(data, scratch)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: DecodePacket err %v, DecodePacketInto err %v", c.WireName(), wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if errors.Is(gotErr, ErrWireFormat) != errors.Is(wantErr, ErrWireFormat) ||
+			!errors.Is(gotErr, ErrBadFrame) || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: error class differs: DecodePacket %v, DecodePacketInto %v", c.WireName(), wantErr, gotErr)
+		}
+		if scratch.Worker != before.Worker || scratch.Step != before.Step ||
+			math.Float64bits(scratch.Loss) != math.Float64bits(before.Loss) ||
+			scratch.Dim != before.Dim || scratch.Offset != before.Offset ||
+			len(scratch.Coords) != len(before.Coords) || cap(scratch.Coords) != cap(before.Coords) {
+			t.Fatalf("%s: failed decode modified the scratch packet: %+v -> %+v", c.WireName(), before, *scratch)
+		}
+		return
+	}
+	if scratch.Worker != want.Worker || scratch.Step != want.Step ||
+		math.Float64bits(scratch.Loss) != math.Float64bits(want.Loss) ||
+		scratch.Dim != want.Dim || scratch.Offset != want.Offset {
+		t.Fatalf("%s: header differs: DecodePacket %+v, DecodePacketInto %+v", c.WireName(), *want, *scratch)
+	}
+	if len(scratch.Coords) != len(want.Coords) {
+		t.Fatalf("%s: %d coords, DecodePacket gave %d", c.WireName(), len(scratch.Coords), len(want.Coords))
+	}
+	for i := range want.Coords {
+		if math.Float64bits(scratch.Coords[i]) != math.Float64bits(want.Coords[i]) {
+			t.Fatalf("%s: coord %d bits %x, DecodePacket gave %x", c.WireName(), i,
+				math.Float64bits(scratch.Coords[i]), math.Float64bits(want.Coords[i]))
+		}
+	}
 }
 
 // FuzzDecodeGradient covers the whole-message framing the TCP path uses,

@@ -250,6 +250,10 @@ type UDPReceiver struct {
 	batcher *recvBatcher
 	batched int // datagrams in the current batch
 	next    int // next undelivered datagram in the batch
+	// pkt is the decode scratch every datagram is parsed into, so the
+	// steady-state receive path allocates nothing. RecvPacket hands it out,
+	// valid until the next receive call.
+	pkt Packet
 
 	wireMismatches int
 	strictWire     bool
@@ -325,12 +329,13 @@ func (r *UDPReceiver) readDatagram(deadline time.Time) ([]byte, error) {
 	return buf, nil
 }
 
-// decode parses one datagram, tracking wire-format mismatches. skip=true
-// means the datagram was invalid and the caller should read the next one.
+// decode parses one datagram into the receiver's scratch packet, tracking
+// wire-format mismatches. skip=true means the datagram was invalid and the
+// caller should read the next one. The packet is valid until the next call.
 func (r *UDPReceiver) decode(buf []byte) (pkt *Packet, skip bool, err error) {
-	pkt, derr := r.codec.DecodePacket(buf)
+	derr := r.codec.DecodePacketInto(buf, &r.pkt)
 	if derr == nil {
-		return pkt, false, nil
+		return &r.pkt, false, nil
 	}
 	if errors.Is(derr, ErrWireFormat) {
 		r.wireMismatches++
@@ -403,7 +408,11 @@ func (r *UDPReceiver) flushAny() (*GradientMsg, error) {
 // send anything). The packet is NOT offered to the reassembler: callers that
 // drive reassembly explicitly (cluster.UDPCluster slots gradients by worker
 // id and recoups scheduled losses deterministically) pair RecvPacket with
-// Reassembler().Offer.
+// Reassembler().Offer, which copies the coordinates out.
+//
+// The returned packet is the receiver's decode scratch: it and its Coords
+// are valid only until the next RecvPacket, RecvGradient or RecvModel call.
+// Callers that keep a packet longer must copy it.
 func (r *UDPReceiver) RecvPacket(timeout time.Duration) (*Packet, error) {
 	deadline := time.Now().Add(timeout)
 	for {
