@@ -9,12 +9,16 @@ CHURN_SMOKE_OUT ?= /tmp/aggregathor-scenario-churn-smoke.json
 
 BENCH_JSON_DIR ?= .
 
-.PHONY: all vet lint escape-check guard-matrix-check directives check build test race fuzz smoke smoke-tcp smoke-udp smoke-model-loss smoke-wire smoke-async smoke-churn bench-json perfbench ci clean
+.PHONY: all vet fmt-check lint escape-check guard-matrix-check directives check build test race fuzz smoke smoke-tcp smoke-udp smoke-model-loss smoke-wire smoke-async smoke-churn bench-json perfbench ci clean
 
 all: ci
 
 vet:
 	$(GO) vet ./...
+
+# Fail if any Go file in the module (perfbench included) is not gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Run the aggrevet determinism & hot-path suite (internal/analysis) over the
 # whole module. Findings are fixed or justified with //aggrevet: directives —
@@ -40,7 +44,7 @@ directives:
 	$(GO) run ./cmd/aggrevet -directives ./...
 
 # The default local gate: static checks, then build and tests.
-check: vet lint escape-check guard-matrix-check build test
+check: vet fmt-check lint escape-check guard-matrix-check build test
 
 build:
 	$(GO) build ./...
@@ -115,13 +119,16 @@ bench-json:
 	$(GO) run ./cmd/bench -json -out $(BENCH_JSON_DIR)
 
 # Test the repository benchmark module (perfbench/, its own Go module) and
-# run a short untraced udp-lossy workload through perfbench/run.py. Full runs:
+# run short untraced udp-lossy and tcp-churn workloads through
+# perfbench/run.py (tcp-churn's updates_per_s and round_p50_ms drop if a
+# churn round's cost grows with rounds run again). Full runs:
 # python3 perfbench/run.py --workload W --seed N --seconds 20 --trace 0|1
 perfbench:
 	cd perfbench && $(GO) test ./...
 	python3 perfbench/run.py --workload udp-lossy --seconds 5 --trace 0
+	python3 perfbench/run.py --workload tcp-churn --seconds 5 --trace 0
 
-ci: vet lint escape-check guard-matrix-check build race smoke smoke-tcp smoke-udp smoke-model-loss smoke-wire smoke-async smoke-churn
+ci: vet fmt-check lint escape-check guard-matrix-check build race smoke smoke-tcp smoke-udp smoke-model-loss smoke-wire smoke-async smoke-churn
 
 clean:
 	$(GO) clean ./...

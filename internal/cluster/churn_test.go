@@ -48,10 +48,14 @@ func churnDeployment(t *testing.T, rule gar.GAR, byz map[int]string, churn ps.Ch
 // the exact counter totals a run must report: crashes, rejoins, and the
 // rounds where live membership falls below minWorkers (0 disables the bound).
 func churnExpectation(churn ps.ChurnConfig, seed int64, steps, n, minWorkers int) (crashes, rejoins, below int) {
+	timelines := make([]*ps.ChurnTimeline, n)
+	for w := range timelines {
+		timelines[w] = churn.Timeline(seed, w)
+	}
 	for s := 0; s < steps; s++ {
 		live := 0
 		for w := 0; w < n; w++ {
-			switch churn.Phase(seed, s, w) {
+			switch timelines[w].Phase(s) {
 			case ps.ChurnCrash:
 				crashes++
 			case ps.ChurnRejoin:
@@ -160,6 +164,107 @@ func TestTCPClusterChurnBelowBound(t *testing.T) {
 	}
 	if !cl.Params().IsFinite() {
 		t.Fatal("non-finite parameters after below-bound run")
+	}
+}
+
+// TestTCPClusterChurnBroadcastSetStaysBounded is the dead-connection leak
+// regression: a long churn run crashes and rejoins workers dozens of times,
+// and each crash's connection must leave the broadcast set once its reader
+// reports it, so the set never holds more than one connection per worker.
+// Kept, every dead connection would cost every later round a write.
+func TestTCPClusterChurnBroadcastSetStaysBounded(t *testing.T) {
+	const seed, steps, workers = 13, 320, 7
+	churn := ps.ChurnConfig{Rate: 0.08, DownSteps: 2, MaxRejoins: steps}
+	_, wantRejoins, _ := churnExpectation(churn, seed, steps, workers, 0)
+	if wantRejoins < 2*workers {
+		t.Fatalf("dead fixture: only %d rejoins scheduled over %d rounds", wantRejoins, steps)
+	}
+
+	cl, _, _ := churnDeployment(t, gar.NewMultiKrum(1), nil, churn, seed)
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rejoins := 0
+	for i := 0; i < steps; i++ {
+		res, err := cl.Step()
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		rejoins += res.Rejoins
+	}
+	if rejoins != wantRejoins {
+		t.Fatalf("rejoins %d, want %d from schedule replay", rejoins, wantRejoins)
+	}
+	if got := len(cl.conns); got > workers {
+		t.Fatalf("broadcast set holds %d connections after %d rounds and %d rejoins, want <= %d workers",
+			got, steps, rejoins, workers)
+	}
+}
+
+// TestTCPClusterChurnAllDownRoundSkips drives a schedule under which every
+// worker is down at once. Their dead connections have left the broadcast
+// set, so the broadcast reaches nobody, and that is the schedule, not a
+// failure: the round is skipped with nothing received, as on the UDP
+// backend, and the run continues once the workers rejoin.
+func TestTCPClusterChurnAllDownRoundSkips(t *testing.T) {
+	const seed, steps, workers = 19, 40, 3
+	churn := ps.ChurnConfig{Rate: 0.4, DownSteps: 4, MaxRejoins: steps}
+	allDown := map[int]bool{}
+	twoInARow := false
+	timelines := make([]*ps.ChurnTimeline, workers)
+	for w := range timelines {
+		timelines[w] = churn.Timeline(seed, w)
+	}
+	for s := 0; s < steps; s++ {
+		down := 0
+		for _, tl := range timelines {
+			if tl.Phase(s) == ps.ChurnDown {
+				down++
+			}
+		}
+		if down == workers {
+			allDown[s] = true
+			twoInARow = twoInARow || allDown[s-1]
+		}
+	}
+	// The second of two all-down rounds is the one that used to fail: by
+	// then no write to the dead connections succeeds.
+	if !twoInARow {
+		t.Fatal("dead fixture: the schedule never has every worker down for two rounds in a row")
+	}
+
+	ds := data.SyntheticFeatures(120, 10, 3, 50)
+	ds.MinMaxScale()
+	cl, err := NewTCPCluster(TCPClusterConfig{
+		Addr: "127.0.0.1:0",
+		ModelFactory: func() *nn.Network {
+			return nn.NewMLP(10, []int{8}, 3, rand.New(rand.NewSource(51)))
+		},
+		Workers:   workers,
+		GAR:       gar.Average{},
+		Optimizer: &opt.SGD{Schedule: opt.Fixed{Rate: 0.1}},
+		Batch:     16,
+		Train:     ds,
+		Churn:     churn,
+		Seed:      seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < steps; i++ {
+		res, err := cl.Step()
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if allDown[i] && (!res.Skipped || res.Received != 0) {
+			t.Fatalf("step %d, every worker down: skipped=%v received=%d, want a skipped empty round",
+				i, res.Skipped, res.Received)
+		}
 	}
 }
 

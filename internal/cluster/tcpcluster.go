@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,10 +92,12 @@ type TCPClusterConfig struct {
 
 // recvEvent is one message from a connection reader: a gradient, or the
 // reader's terminal error. worker is the id the connection last identified
-// itself as, -1 if it died before sending anything.
+// itself as, -1 if it died before sending anything; conn is the reader's
+// connection, so Step can drop a dead one from the broadcast set.
 type recvEvent struct {
 	msg    *transport.GradientMsg
 	worker int
+	conn   *transport.TCPConn
 	err    error
 }
 
@@ -105,7 +108,8 @@ type recvEvent struct {
 type TCPCluster struct {
 	cfg        TCPClusterConfig
 	ln         *transport.TCPListener
-	conns      []*transport.TCPConn
+	conns      []*transport.TCPConn // the broadcast set: every connection whose reader is alive
+	frame      []byte               // the round's encoded model frame, reused across rounds
 	inbox      chan recvEvent
 	workerWG   sync.WaitGroup
 	readerWG   sync.WaitGroup
@@ -295,7 +299,7 @@ func (c *TCPCluster) startReader(conn *transport.TCPConn, worker int) {
 		for {
 			msg, err := conn.RecvGradient()
 			if err != nil {
-				c.inbox <- recvEvent{worker: worker, err: err}
+				c.inbox <- recvEvent{worker: worker, conn: conn, err: err}
 				return
 			}
 			worker = msg.Worker
@@ -391,9 +395,13 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 		res.ReconnectAttempts = c.membership.RoundReconnectAttempts()
 	}
 
-	// Broadcast phase (parallel sends). Suspected workers are included — a
-	// straggler that recovers can rejoin the round. Sends to dead
-	// connections fail harmlessly; their readers already reported.
+	// Broadcast phase (parallel sends of one frame, encoded once).
+	// Suspected workers are included — a straggler that recovers can rejoin
+	// the round. A connection whose reader has reported its death has left
+	// the broadcast set; a send to one that died since fails harmlessly.
+	// Every write finishes before sendWG.Wait returns, so the frame buffer
+	// is free to reuse next round.
+	c.frame = c.cfg.Codec.EncodeModelFrame(c.frame, &transport.ModelMsg{Step: c.step, Params: c.params})
 	var sendWG sync.WaitGroup
 	var liveSends int64
 	var liveMu sync.Mutex
@@ -401,7 +409,7 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 		sendWG.Add(1)
 		go func(conn *transport.TCPConn) {
 			defer sendWG.Done()
-			if err := conn.SendModel(&transport.ModelMsg{Step: c.step, Params: c.params}); err == nil {
+			if err := conn.WriteFrame(c.frame); err == nil {
 				liveMu.Lock()
 				liveSends++
 				liveMu.Unlock()
@@ -409,7 +417,9 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 		}(conn)
 	}
 	sendWG.Wait()
-	if liveSends == 0 {
+	// A churn round with every worker scheduled down has an empty
+	// broadcast set by design; anywhere else no live connection is fatal.
+	if liveSends == 0 && (c.membership == nil || c.membership.Live() > 0) {
 		return nil, fmt.Errorf("cluster: no live worker connections at step %d", c.step)
 	}
 
@@ -444,6 +454,7 @@ func (c *TCPCluster) Step() (*ps.StepResult, error) {
 		select {
 		case ev := <-c.inbox:
 			if ev.err != nil {
+				c.dropConn(ev.conn)
 				if ev.worker < 0 {
 					// A connection that dies before its worker ever
 					// identified itself is a deployment failure (a healthy
@@ -643,6 +654,16 @@ func (c *TCPCluster) installRejoin(rj tcpRejoin) error {
 	return nil
 }
 
+// dropConn removes a connection whose reader has exited from the broadcast
+// set and closes it. Without this, every crash/rejoin cycle would leave one
+// more dead connection for each later round to write to.
+func (c *TCPCluster) dropConn(conn *transport.TCPConn) {
+	if i := slices.Index(c.conns, conn); i >= 0 {
+		c.conns = slices.Delete(c.conns, i, i+1)
+	}
+	conn.Close()
+}
+
 // recoupSlot produces the stand-in gradient for a slot that missed the round
 // deadline, per the configured recoup policy. nil means the slot is dropped.
 func (c *TCPCluster) recoupSlot(id int) tensor.Vector {
@@ -773,16 +794,17 @@ func runTCPClusterWorker(addr string, id int, cfg *TCPClusterConfig) error {
 	if err != nil {
 		return err
 	}
+	churn := cfg.Churn.Timeline(cfg.Seed, id)
 	for {
 		model, err := conn.RecvModel()
 		if err != nil {
 			return nil // server hung up: normal termination
 		}
 		if cfg.Churn.Enabled() {
-			switch cfg.Churn.Phase(cfg.Seed, model.Step, id) {
+			switch churn.Phase(model.Step) {
 			case ps.ChurnCrash:
 				conn.Close() // abrupt teardown: no goodbye, no submission
-				if cfg.Churn.Permanent(cfg.Seed, model.Step, id) {
+				if churn.Permanent(model.Step) {
 					return nil // rejoin budget exhausted: gone for good
 				}
 				// Dial back immediately; the handshake waits server-side

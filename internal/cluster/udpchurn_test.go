@@ -31,9 +31,10 @@ func TestUDPClusterChurnByzantineMatrix(t *testing.T) {
 		t.Fatalf("dead fixture: schedule has %d crashes / %d rejoins", wantCrashes, wantRejoins)
 	}
 	participants := make([]int, steps)
-	for s := 0; s < steps; s++ {
-		for w := 0; w < workers; w++ {
-			if churnParticipates(churn.Phase(seed, s, w)) {
+	for w := 0; w < workers; w++ {
+		tl := churn.Timeline(seed, w)
+		for s := 0; s < steps; s++ {
+			if churnParticipates(tl.Phase(s)) {
 				participants[s]++
 			}
 		}

@@ -492,6 +492,10 @@ func (c *UDPCluster) abortStart() {
 // server's live parameter vector.
 func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver, send *transport.UDPSender, dim int) error {
 	pktCount := c.cfg.Codec.PacketsPerTransfer(dim, c.cfg.MTU)
+	// One memoised churn timeline serves both the collector's schedule,
+	// which queries ahead of the loop, and the loop itself. Both run on
+	// this goroutine.
+	churn := c.cfg.Churn.Timeline(c.cfg.Seed, w.id)
 	var schedule func(step int) []bool
 	if c.cfg.ModelDropRate > 0 {
 		schedule = func(step int) []bool {
@@ -515,8 +519,7 @@ func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver, s
 			allDropped[i] = true
 		}
 		schedule = func(step int) []bool {
-			if c.cfg.Churn.Phase(c.cfg.Seed, step, w.id) == ps.ChurnDown &&
-				!c.cfg.Churn.Permanent(c.cfg.Seed, step, w.id) {
+			if churn.Phase(step) == ps.ChurnDown && !churn.Permanent(step) {
 				return allDropped
 			}
 			return nil
@@ -533,14 +536,13 @@ func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver, s
 	lastStep := -1 // last complete model held (mirrors the server's lastComplete)
 	var lastParams tensor.Vector
 	var pktScratch []transport.Packet // split scratch, reused every round
-	churn := c.cfg.Churn.Enabled()
 	for {
 		ev, err := col.Next()
 		if err != nil {
 			return nil // socket closed by the server (or idle timeout): termination
 		}
-		if churn {
-			switch c.cfg.Churn.Phase(c.cfg.Seed, ev.Step, w.id) {
+		if c.cfg.Churn.Enabled() {
+			switch churn.Phase(ev.Step) {
 			case ps.ChurnCrash:
 				// Scheduled crash: tear the gradient sender down abruptly,
 				// submitting nothing. The model endpoint stays bound — it is
@@ -549,7 +551,7 @@ func (c *UDPCluster) runWorker(w *clusterWorker, mrecv *transport.UDPReceiver, s
 				send.Close()
 				send = nil
 				c.setGradSender(w.id, nil)
-				if c.cfg.Churn.Permanent(c.cfg.Seed, ev.Step, w.id) {
+				if churn.Permanent(ev.Step) {
 					return nil // rejoin budget exhausted: gone for good
 				}
 				continue

@@ -734,4 +734,3 @@ func ThroughputScan(aggregator string, f int, workerCounts []int, dim int, flops
 	}
 	return out
 }
-

@@ -127,9 +127,9 @@ func TestQuorumTrackerAdmission(t *testing.T) {
 		{0, 5, AdmitFresh},
 		{0, 5, RejectDuplicate},
 		{1, 4, AdmitStale},
-		{2, 2, RejectTooStale},  // 2 < step-τ = 3
-		{2, 4, RejectWrongTag},  // in-window but not worker 2's scheduled tag
-		{3, 5, RejectWrongTag},  // scheduled-dropped slot never admits
+		{2, 2, RejectTooStale}, // 2 < step-τ = 3
+		{2, 4, RejectWrongTag}, // in-window but not worker 2's scheduled tag
+		{3, 5, RejectWrongTag}, // scheduled-dropped slot never admits
 		{-1, 5, RejectUnknownWorker},
 		{5, 5, RejectUnknownWorker},
 		{2, 3, AdmitStale},

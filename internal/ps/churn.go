@@ -116,51 +116,77 @@ func churnCrashDraw(runSeed int64, step, worker int, rate float64) bool {
 	return rng.Float64() < rate
 }
 
-// replay walks one worker's crash/rejoin timeline from step 0 and returns
-// its phase at step plus whether it is permanently down at that point. A
-// worker's timeline depends only on its own draws, so replay is exact at
-// both endpoints: crash draws happen only while live (and never at step 0 or
-// on the rejoin round itself), a crash with rejoin budget left schedules the
-// rejoin DownSteps rounds later, and a crash past the budget is final.
-func (c ChurnConfig) replay(runSeed int64, step, worker int) (ChurnPhase, bool) {
-	if !c.Enabled() {
+// ChurnTimeline is one worker's crash/rejoin timeline under one run seed —
+// the schedule function both endpoints evaluate. It walks the per-step rule
+// (the same churnCrashDraw the MembershipTracker uses) forward only past the
+// last step it has evaluated and remembers the steps the worker crashed at,
+// so advancing one round costs one draw and a query behind the frontier
+// costs no draw at all. A worker's timeline depends only on its own draws,
+// so it is exact at both endpoints: crash draws happen only while live (and
+// never at step 0 or on the rejoin round itself), a crash with rejoin budget
+// left schedules the rejoin DownSteps rounds later, and a crash past the
+// budget is final. The MembershipTracker's incremental state machine must
+// agree with the timeline at every (step, worker); the fuzz target
+// cross-checks the two implementations.
+//
+// A ChurnTimeline is not safe for concurrent use; each worker loop holds
+// its own.
+type ChurnTimeline struct {
+	cfg    ChurnConfig
+	seed   int64
+	worker int
+
+	// crashes lists, in order, the steps below next at which the worker
+	// crashed. Only crashes are kept — every other phase follows from the
+	// last crash at or before a step — so the memo holds at most
+	// MaxRejoins+1 entries however far ahead a caller queries: the crash
+	// past the budget is final and stops the walk.
+	crashes []int
+	next    int
+}
+
+// Timeline returns the crash/rejoin timeline of one worker.
+func (c ChurnConfig) Timeline(runSeed int64, worker int) *ChurnTimeline {
+	return &ChurnTimeline{cfg: c, seed: runSeed, worker: worker}
+}
+
+// at returns the worker's phase at step plus whether it is permanently down
+// at that point, walking the timeline up to step if needed.
+func (t *ChurnTimeline) at(step int) (ChurnPhase, bool) {
+	if !t.cfg.Enabled() || step < 0 {
 		return ChurnLive, false
 	}
-	rejoins := 0
-	down := false
-	permanent := false
-	rejoinStep := 0
-	for s := 0; s <= step; s++ {
-		phase := ChurnLive
-		switch {
-		case down && !permanent && s == rejoinStep:
-			down = false
-			phase = ChurnRejoin
-		case down:
-			phase = ChurnDown
-		case s > 0 && churnCrashDraw(runSeed, s, worker, c.Rate):
-			phase = ChurnCrash
-			down = true
-			if rejoins < c.MaxRejoins {
-				rejoins++
-				rejoinStep = s + c.DownSteps
-			} else {
-				permanent = true
-			}
+	for ; t.next <= step && len(t.crashes) <= t.cfg.MaxRejoins; t.next++ {
+		if n := len(t.crashes); n > 0 && t.next <= t.crashes[n-1]+t.cfg.DownSteps {
+			continue // down or rejoining: no crash draw
 		}
-		if s == step {
-			return phase, permanent
+		if t.next > 0 && churnCrashDraw(t.seed, t.next, t.worker, t.cfg.Rate) {
+			t.crashes = append(t.crashes, t.next)
 		}
+	}
+	i := len(t.crashes) - 1
+	for i >= 0 && t.crashes[i] > step {
+		i--
+	}
+	if i < 0 {
+		return ChurnLive, false
+	}
+	crash := t.crashes[i]
+	permanent := i >= t.cfg.MaxRejoins
+	switch {
+	case step == crash:
+		return ChurnCrash, permanent
+	case permanent || step < crash+t.cfg.DownSteps:
+		return ChurnDown, permanent
+	case step == crash+t.cfg.DownSteps:
+		return ChurnRejoin, false
 	}
 	return ChurnLive, false
 }
 
-// Phase returns one worker's membership phase at one step — the pure
-// schedule function both endpoints evaluate. The MembershipTracker's
-// incremental state machine must agree with this replay at every
-// (step, worker); the fuzz target cross-checks the two implementations.
-func (c ChurnConfig) Phase(runSeed int64, step, worker int) ChurnPhase {
-	phase, _ := c.replay(runSeed, step, worker)
+// Phase returns the worker's membership phase at step.
+func (t *ChurnTimeline) Phase(step int) ChurnPhase {
+	phase, _ := t.at(step)
 	return phase
 }
 
@@ -168,8 +194,8 @@ func (c ChurnConfig) Phase(runSeed int64, step, worker int) ChurnPhase {
 // rejoin budget was already spent when it last crashed). A crashing worker
 // uses this to decide between exiting for good and starting the reconnect
 // dialer.
-func (c ChurnConfig) Permanent(runSeed int64, step, worker int) bool {
-	_, permanent := c.replay(runSeed, step, worker)
+func (t *ChurnTimeline) Permanent(step int) bool {
+	_, permanent := t.at(step)
 	return permanent
 }
 
@@ -265,7 +291,7 @@ func NewMembershipTracker(cfg ChurnConfig, runSeed int64, n int) *MembershipTrac
 // BeginRound advances the schedule to round step and returns each worker's
 // phase. Rounds must advance one at a time from step 0; the returned slice
 // is valid until the next BeginRound. The incremental state must agree with
-// ChurnConfig.Phase at every (step, worker) — asserted by the unit tests and
+// ChurnTimeline at every (step, worker) — asserted by the unit tests and
 // the fuzz target.
 func (t *MembershipTracker) BeginRound(step int) []ChurnPhase {
 	want := 0

@@ -33,7 +33,9 @@ func TestChurnConfigValidate(t *testing.T) {
 }
 
 // TestChurnSchedulePureFunction pins the schedule's structural invariants
-// over a long horizon: determinism, no crashes at step 0, downtime of
+// over a long horizon: determinism (a second timeline of the same worker,
+// walked to the horizon first and then queried behind, agrees at every
+// step), no crashes at step 0, downtime of
 // exactly DownSteps rounds, rejoin budgets enforced, and — the dead-fixture
 // guard — that the chosen rate actually exercises crashes, rejoins and a
 // permanent departure.
@@ -43,14 +45,16 @@ func TestChurnSchedulePureFunction(t *testing.T) {
 
 	crashes, rejoins, permanents := 0, 0, 0
 	for w := 0; w < workers; w++ {
-		if got := cfg.Phase(seed, 0, w); got != ChurnLive {
+		tl, twin := cfg.Timeline(seed, w), cfg.Timeline(seed, w)
+		twin.Phase(steps)
+		if got := tl.Phase(0); got != ChurnLive {
 			t.Fatalf("worker %d: phase at step 0 = %v, want live", w, got)
 		}
 		lastCrash := -1
 		rejoinsSeen := 0
 		for s := 0; s <= steps; s++ {
-			phase := cfg.Phase(seed, s, w)
-			if phase != cfg.Phase(seed, s, w) {
+			phase := tl.Phase(s)
+			if phase != twin.Phase(s) {
 				t.Fatalf("worker %d step %d: phase not deterministic", w, s)
 			}
 			switch phase {
@@ -76,7 +80,7 @@ func TestChurnSchedulePureFunction(t *testing.T) {
 				}
 			}
 		}
-		if cfg.Permanent(seed, steps, w) {
+		if tl.Permanent(steps) {
 			permanents++
 			if rejoinsSeen != cfg.MaxRejoins {
 				t.Fatalf("worker %d: permanent after %d rejoins, want budget %d spent",
@@ -90,26 +94,118 @@ func TestChurnSchedulePureFunction(t *testing.T) {
 	if permanents == 0 {
 		t.Fatalf("dead fixture: no worker exhausted its rejoin budget over %d steps", steps)
 	}
-	if disabled := (ChurnConfig{}); disabled.Phase(seed, 5, 0) != ChurnLive {
+	if disabled := (ChurnConfig{}); disabled.Timeline(seed, 0).Phase(5) != ChurnLive {
 		t.Fatal("disabled churn must report every worker live")
 	}
 }
 
+// TestChurnTimelineAdvanceIsConstant pins the timeline's cost model: deep
+// into a run, advancing one step costs one crash draw, not a replay of every
+// earlier step (a replay from step 0 to step 1000 allocates two objects per
+// step walked). A worker loop queries its timeline every round, so an
+// O(step) advance would make an episode quadratic in rounds.
+func TestChurnTimelineAdvanceIsConstant(t *testing.T) {
+	// An unbounded rejoin budget keeps the worker cycling through
+	// crash/down/rejoin, so every advance below walks a fresh step.
+	cfg := ChurnConfig{Rate: 0.08, DownSteps: 2, MaxRejoins: 1 << 20}
+	const seed, worker, depth = 11, 3, 1000
+	tl := cfg.Timeline(seed, worker)
+	tl.Phase(depth)
+	step := depth
+	allocs := testing.AllocsPerRun(200, func() {
+		step++
+		tl.Phase(step)
+		tl.Permanent(step)
+	})
+	if allocs > 3 {
+		t.Fatalf("advancing the timeline at step ~%d: %.1f allocs per step, want <= 3", depth, allocs)
+	}
+	// Queries behind the frontier read the crash memo: no draws, no
+	// allocations.
+	if behind := testing.AllocsPerRun(200, func() { tl.Phase(depth / 2) }); behind != 0 {
+		t.Fatalf("memoised query: %.1f allocs, want 0", behind)
+	}
+	if crashes := countPhase(tl, depth, step, ChurnCrash); crashes == 0 {
+		t.Fatalf("dead fixture: no crash in steps (%d, %d]", depth, step)
+	}
+}
+
+// TestChurnTimelineMemoIsBounded pins what a far-ahead query leaves behind.
+// The UDP worker's model collector asks the timeline about the step of any
+// well-formed model datagram before its future-broadcast cap, so one spoofed
+// datagram with a huge step walks the timeline that far. The walk must keep
+// only crash steps — at most MaxRejoins+1 of them — not one entry per step,
+// and the timeline must still answer every earlier step exactly.
+func TestChurnTimelineMemoIsBounded(t *testing.T) {
+	cfg := ChurnConfig{Rate: 0.002, DownSteps: 2, MaxRejoins: 3}
+	const seed, worker, far = 11, 3, 20000
+	tl := cfg.Timeline(seed, worker)
+	if !tl.Permanent(far) || tl.Phase(far) != ChurnDown {
+		t.Fatalf("dead fixture: worker %d still rejoining at step %d", worker, far)
+	}
+	if n := cap(tl.crashes); n > cfg.MaxRejoins+1 {
+		t.Fatalf("timeline keeps %d entries after a query at step %d, want <= MaxRejoins+1 = %d",
+			n, far, cfg.MaxRejoins+1)
+	}
+	last := tl.crashes[len(tl.crashes)-1]
+	if last < 10*cfg.MaxRejoins {
+		t.Fatalf("dead fixture: final crash at step %d, too early to tell a crash memo from a step memo", last)
+	}
+	inOrder := cfg.Timeline(seed, worker)
+	for s := 0; s <= last+1; s++ {
+		if a, b := inOrder.Phase(s), tl.Phase(s); a != b {
+			t.Fatalf("step %d: in-order timeline %v, after far query %v", s, a, b)
+		}
+		if a, b := inOrder.Permanent(s), tl.Permanent(s); a != b {
+			t.Fatalf("step %d: in-order permanent %v, after far query %v", s, a, b)
+		}
+	}
+}
+
+// countPhase counts the steps in (from, to] where the timeline reports phase.
+func countPhase(tl *ChurnTimeline, from, to int, phase ChurnPhase) int {
+	n := 0
+	for s := from + 1; s <= to; s++ {
+		if tl.Phase(s) == phase {
+			n++
+		}
+	}
+	return n
+}
+
+// checkTimeline queries the worker's memoised timeline ahead of step s
+// first, then at s itself — behind its memo frontier, the order the UDP
+// worker's model collector and event loop produce — and requires the phase
+// and permanence the tracker holds for the worker at s.
+func checkTimeline(t *testing.T, tl *ChurnTimeline, tr *MembershipTracker, s, w, ahead int) {
+	t.Helper()
+	tl.Phase(s + ahead)
+	if got := tl.Phase(s); got != tr.phases[w] {
+		t.Fatalf("step %d worker %d: timeline phase %v (queried %d ahead first), tracker %v",
+			s, w, got, ahead, tr.phases[w])
+	}
+	if got := tl.Permanent(s); got != tr.permanent[w] {
+		t.Fatalf("step %d worker %d: timeline permanent %v, tracker %v", s, w, got, tr.permanent[w])
+	}
+}
+
 // TestMembershipTrackerMatchesReplay cross-checks the tracker's incremental
-// state machine against the pure replay at every (step, worker).
+// state machine against the schedule's timeline, queried out of order, at
+// every (step, worker).
 func TestMembershipTrackerMatchesReplay(t *testing.T) {
 	cfg := ChurnConfig{Rate: 0.2, DownSteps: 2, MaxRejoins: 1}
 	const seed, workers, steps = 71, 5, 120
 
 	tr := NewMembershipTracker(cfg, seed, workers)
+	timelines := make([]*ChurnTimeline, workers)
+	for w := range timelines {
+		timelines[w] = cfg.Timeline(seed, w)
+	}
 	for s := 0; s <= steps; s++ {
 		phases := tr.BeginRound(s)
 		live := 0
 		for w := 0; w < workers; w++ {
-			want := cfg.Phase(seed, s, w)
-			if phases[w] != want {
-				t.Fatalf("step %d worker %d: tracker phase %v, replay %v", s, w, phases[w], want)
-			}
+			checkTimeline(t, timelines[w], tr, s, w, (s*7+w)%13)
 			if phases[w] == ChurnLive || phases[w] == ChurnRejoin {
 				live++
 			}
@@ -169,7 +265,7 @@ func TestMembershipTrackerAdmission(t *testing.T) {
 	}
 	liveWorker := -1
 	for w := 0; w < workers; w++ {
-		if w != rejoinWorker && cfg.Phase(seed, rejoinStep, w) == ChurnLive {
+		if w != rejoinWorker && cfg.Timeline(seed, w).Phase(rejoinStep) == ChurnLive {
 			liveWorker = w
 			break
 		}
@@ -196,7 +292,8 @@ func TestMembershipTrackerAdmission(t *testing.T) {
 
 // FuzzMembershipTracker fuzzes the tracker's invariants against arbitrary
 // configurations and handshake sequences: the incremental state machine must
-// agree with the pure replay at every (step, worker), no worker is admitted
+// agree with the schedule's timeline, queried ahead and then behind, at
+// every (step, worker), no worker is admitted
 // twice in a round or before its scheduled downtime elapses, and the
 // counters always agree with the verdicts issued.
 func FuzzMembershipTracker(f *testing.F) {
@@ -220,6 +317,11 @@ func FuzzMembershipTracker(f *testing.F) {
 		script := data[6:]
 
 		tr := NewMembershipTracker(cfg, seed, n)
+		timelines := make([]*ChurnTimeline, n)
+		for w := range timelines {
+			timelines[w] = cfg.Timeline(seed, w)
+		}
+		lookahead := 1 + int(data[2])%7
 		lastCrash := make([]int, n)
 		for w := range lastCrash {
 			lastCrash[w] = -1
@@ -228,9 +330,7 @@ func FuzzMembershipTracker(f *testing.F) {
 		for s := 0; s <= steps; s++ {
 			phases := tr.BeginRound(s)
 			for w := 0; w < n; w++ {
-				if want := cfg.Phase(seed, s, w); phases[w] != want {
-					t.Fatalf("step %d worker %d: tracker %v, replay %v", s, w, phases[w], want)
-				}
+				checkTimeline(t, timelines[w], tr, s, w, (s+w)%lookahead)
 				switch phases[w] {
 				case ChurnCrash:
 					wantCrashes++

@@ -103,13 +103,15 @@ type Cluster struct {
 	params   tensor.Vector
 	replicas []*nn.Network
 	rngs     []*rand.Rand
-	ws       *gar.Workspace // per-trainer aggregation scratch arena
+	ws       *gar.Workspace  // per-trainer aggregation scratch arena
 	history  []tensor.Vector // model snapshots per round, ring of τ+1 (async)
 	step     int
 	hijacked bool
 }
 
-// StepResult reports one synchronous round.
+// StepResult reports one synchronous round. The three flags sit together so
+// the struct is 80 bytes on 64-bit platforms, not 96: a caller recording
+// every round keeps one per round.
 type StepResult struct {
 	// Step is the model-update index of this round (before increment).
 	Step int
@@ -123,6 +125,12 @@ type StepResult struct {
 	// Hijacked is true when a Byzantine worker overwrote the parameters
 	// this round (Vanilla mode only).
 	Hijacked bool
+	// BelowBound is true when the round was skipped because live
+	// membership fell below the GAR's Byzantine safety bound (n_live <
+	// MinWorkers, e.g. 2f+3 for Krum-family rules): the server refuses to
+	// aggregate unsafely and leaves the model unchanged (Skipped is also
+	// set).
+	BelowBound bool
 	// Stale counts slots settled this round from a stale-model submission:
 	// on the lossy-model UDP backend, a worker whose broadcast was torn
 	// trained on its last complete model and the server accepted the
@@ -147,12 +155,6 @@ type StepResult struct {
 	// admitted rejoins. On the scheduled path every rejoin dials exactly
 	// once, so this equals Rejoins.
 	ReconnectAttempts int
-	// BelowBound is true when the round was skipped because live
-	// membership fell below the GAR's Byzantine safety bound (n_live <
-	// MinWorkers, e.g. 2f+3 for Krum-family rules): the server refuses to
-	// aggregate unsafely and leaves the model unchanged (Skipped is also
-	// set).
-	BelowBound bool
 }
 
 // New validates the configuration and builds the cluster.

@@ -14,10 +14,14 @@ import (
 // count sits below minWorkers (0 = no bound). The engine's numbers must equal
 // this pure function of the seed exactly.
 func churnReplay(churn ps.ChurnConfig, seed int64, steps, workers, minWorkers int) (crashes, rejoins, below int) {
+	timelines := make([]*ps.ChurnTimeline, workers)
+	for w := range timelines {
+		timelines[w] = churn.Timeline(seed, w)
+	}
 	for s := 0; s < steps; s++ {
 		part := 0
-		for w := 0; w < workers; w++ {
-			switch churn.Phase(seed, s, w) {
+		for _, tl := range timelines {
+			switch tl.Phase(s) {
 			case ps.ChurnCrash:
 				crashes++
 			case ps.ChurnRejoin:
@@ -122,7 +126,7 @@ func TestChurnCampaignJSONDeterministic(t *testing.T) {
 
 	// The loss-free churn cells must agree across backends row-for-row.
 	type row struct {
-		acc                              float64
+		acc                               float64
 		crashes, rejoins, attempts, below int
 	}
 	byBackend := map[string]map[string]row{}

@@ -202,14 +202,29 @@ func (c Codec) DecodeGradient(buf []byte) (*GradientMsg, error) {
 // EncodeModel renders a model broadcast:
 // magic u32 | version u8 | type u8 | width u8 | step u64 | dim u32 | coords.
 func (c Codec) EncodeModel(m *ModelMsg) []byte {
-	buf := make([]byte, 4+1+1+1+8+4+len(m.Params)*c.BytesPerCoord())
-	binary.LittleEndian.PutUint32(buf[0:], Magic)
-	buf[4] = Version
-	buf[5] = msgModel
-	buf[6] = byte(c.BytesPerCoord())
-	binary.LittleEndian.PutUint64(buf[7:], uint64(m.Step))
-	binary.LittleEndian.PutUint32(buf[15:], uint32(len(m.Params)))
-	c.putCoords(buf[19:], m.Params)
+	return c.EncodeModelFrame(nil, m)[4:]
+}
+
+// EncodeModelFrame encodes m as one length-prefixed TCP frame — a u32
+// length, then the EncodeModel bytes — into buf's storage, allocating only
+// when buf is too small. A server broadcasting one model to many
+// connections encodes it once and hands the frame to each
+// TCPConn.WriteFrame.
+func (c Codec) EncodeModelFrame(buf []byte, m *ModelMsg) []byte {
+	body := 4 + 1 + 1 + 1 + 8 + 4 + len(m.Params)*c.BytesPerCoord()
+	if cap(buf) < 4+body {
+		buf = make([]byte, 4+body)
+	}
+	buf = buf[:4+body]
+	binary.LittleEndian.PutUint32(buf, uint32(body))
+	msg := buf[4:]
+	binary.LittleEndian.PutUint32(msg[0:], Magic)
+	msg[4] = Version
+	msg[5] = msgModel
+	msg[6] = byte(c.BytesPerCoord())
+	binary.LittleEndian.PutUint64(msg[7:], uint64(m.Step))
+	binary.LittleEndian.PutUint32(msg[15:], uint32(len(m.Params)))
+	c.putCoords(msg[19:], m.Params)
 	return buf
 }
 

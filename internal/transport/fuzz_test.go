@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -11,7 +12,8 @@ import (
 
 // FuzzDecodePacket feeds arbitrary bytes to the datagram decoder under both
 // wire widths: it must never panic, whatever it accepts must re-encode to
-// the exact input bytes (decode is the inverse of encode on its image), and
+// the exact input bytes (decode is the inverse of encode on its image)
+// except that float32 signalling NaNs come back quieted, and
 // anything accepted under one width must be rejected by the opposite-width
 // codec with ErrWireFormat — the loud mismatch the width byte exists for.
 // Under both widths, decoding into a dirty, reused packet (the receiver's
@@ -53,7 +55,7 @@ func FuzzDecodePacket(f *testing.F) {
 			t.Fatalf("accepted packet with range [%d,%d) outside dim %d", p.Offset, p.Offset+len(p.Coords), p.Dim)
 		}
 		re := c.EncodePacket(p)
-		if !bytes.Equal(re, data) {
+		if !bytes.Equal(re, quietedFloat32NaNs(c, data, packetHeaderLen)) {
 			t.Fatalf("decode->encode not the identity:\n in  %x\n out %x", data, re)
 		}
 		other := Codec{Float32: !float32Wire}
@@ -104,6 +106,31 @@ func checkDecodeIntoParity(t *testing.T, c Codec, data []byte, scratch *Packet) 
 	}
 }
 
+// quietedFloat32NaNs returns the bytes re-encoding a decoded frame must
+// produce: wire itself, except that on the float32 wire every coordinate
+// (from offset on) holding a signalling NaN has its quiet bit set. Decoding
+// widens each float32 coordinate to float64, and the hardware quiets a
+// signalling NaN on the way; encode never emits one, and a NaN coordinate
+// stays a NaN the GARs must contain either way, so the identity property
+// holds modulo that quieting. The decoder does not reject such frames:
+// hostile NaN coordinates are the GARs' job, not the wire's.
+func quietedFloat32NaNs(c Codec, wire []byte, offset int) []byte {
+	if !c.Float32 {
+		return wire
+	}
+	out := bytes.Clone(wire)
+	for i := offset; i+4 <= len(out); i += 4 {
+		bits := binary.LittleEndian.Uint32(out[i:])
+		if math.IsNaN(float64(math.Float32frombits(bits))) {
+			binary.LittleEndian.PutUint32(out[i:], bits|0x00400000)
+		}
+	}
+	return out
+}
+
+// gradientHeaderLen is the EncodeGradient header size; coordinates follow.
+const gradientHeaderLen = 31
+
 // FuzzDecodeGradient covers the whole-message framing the TCP path uses,
 // under both wire widths, including the cross-width rejection property.
 func FuzzDecodeGradient(f *testing.F) {
@@ -119,7 +146,7 @@ func FuzzDecodeGradient(f *testing.F) {
 			return
 		}
 		re := c.EncodeGradient(m)
-		if !bytes.Equal(re, data) {
+		if !bytes.Equal(re, quietedFloat32NaNs(c, data, gradientHeaderLen)) {
 			t.Fatalf("decode->encode not the identity:\n in  %x\n out %x", data, re)
 		}
 		other := Codec{Float32: !float32Wire}

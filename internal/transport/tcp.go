@@ -102,7 +102,17 @@ func (c *TCPConn) RecvGradient() (*GradientMsg, error) {
 
 // SendModel writes one model broadcast.
 func (c *TCPConn) SendModel(m *ModelMsg) error {
-	return c.writeFrame(c.codec.EncodeModel(m))
+	return c.WriteFrame(c.codec.EncodeModelFrame(nil, m))
+}
+
+// WriteFrame writes one pre-encoded, length-prefixed frame (as built by
+// Codec.EncodeModelFrame) in a single Write. It never modifies frame, so
+// one frame may be written to many connections concurrently.
+func (c *TCPConn) WriteFrame(frame []byte) error {
+	if _, err := c.conn.Write(frame); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	return nil
 }
 
 // RecvModel reads one model broadcast.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"aggregathor/internal/tensor"
@@ -66,6 +67,65 @@ func TestTCPMixedWidthPeersRejectLoudly(t *testing.T) {
 			}
 			if err := <-sendErr; err != nil {
 				t.Fatalf("mixed-width send side failed before decode: %v", err)
+			}
+		})
+	}
+}
+
+// TestModelFrameReusesBuffer pins the broadcast encoder's buffer contract
+// and its framing: for both wire widths, EncodeModelFrame into a reused
+// buffer that still holds a larger, stale frame keeps the buffer's storage,
+// and the frame written with WriteFrame reads back through RecvModel as the
+// sent step and the codec's rounding of every coordinate, bit for bit.
+func TestModelFrameReusesBuffer(t *testing.T) {
+	params := tensor.Vector{1.5, -2.25, math.Pi, 0, math.Copysign(0, -1),
+		math.Inf(1), 5e-324, math.MaxFloat64, 1e-40}
+	msg := &ModelMsg{Step: 1<<40 + 3, Params: params}
+	for _, c := range []Codec{{Float32: true}, {Float32: false}} {
+		t.Run(c.WireName(), func(t *testing.T) {
+			stale := c.EncodeModelFrame(nil, &ModelMsg{Step: 9, Params: tensor.Vector{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}})
+			frame := c.EncodeModelFrame(stale, msg)
+			if &frame[0] != &stale[0] {
+				t.Fatal("EncodeModelFrame reallocated a buffer with enough capacity")
+			}
+
+			ln, err := ListenTCP("127.0.0.1:0", c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			sendErr := make(chan error, 1)
+			go func() {
+				peer, err := DialTCP(ln.Addr(), c)
+				if err != nil {
+					sendErr <- err
+					return
+				}
+				defer peer.Close()
+				sendErr <- peer.WriteFrame(frame)
+			}()
+			conn, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			got, err := conn.RecvModel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-sendErr; err != nil {
+				t.Fatal(err)
+			}
+			if got.Step != msg.Step || len(got.Params) != len(params) {
+				t.Fatalf("received step %d dim %d, sent step %d dim %d", got.Step, len(got.Params), msg.Step, len(params))
+			}
+			for i, p := range params {
+				if c.Float32 {
+					p = float64(float32(p))
+				}
+				if a, b := math.Float64bits(got.Params[i]), math.Float64bits(p); a != b {
+					t.Fatalf("coord %d: received bits %x, want %x", i, a, b)
+				}
 			}
 		})
 	}
