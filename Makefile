@@ -55,14 +55,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short coverage of the transport codec and reassembler fuzz targets beyond
-# the seed corpus.
+# Short coverage of the fuzz targets beyond their seed corpora: transport
+# codec and reassembler, quorum and churn admission, and the
+# mean-around-median sorted-window kernel.
 fuzz:
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodePacket -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzDecodeGradient -fuzztime=20s
 	$(GO) test ./internal/transport/ -run=NONE -fuzz=FuzzReassembler -fuzztime=20s
 	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzQuorumAdmission -fuzztime=20s
 	$(GO) test ./internal/ps/ -run=NONE -fuzz=FuzzMembershipTracker -fuzztime=20s
+	$(GO) test ./internal/tensor/ -run=NONE -fuzz=FuzzMeanAroundMedianKernel -fuzztime=20s
 
 # Run the built-in scenario campaign (4 GARs x 3 attacks + baseline x 2
 # network conditions) and write the deterministic results JSON.

@@ -110,7 +110,7 @@ func (w *clusterWorker) submission(model *transport.ModelMsg) *transport.Gradien
 			for _, p := range w.peers {
 				px, py := w.peerSamplers[p].Sample(w.spec.Batch)
 				_, pg := w.peerReplica.Gradient(px, py)
-				honest = append(honest, pg.Clone())
+				honest = append(honest, pg)
 			}
 		}
 		grad = w.atk.Forge(&attack.Context{

@@ -96,6 +96,17 @@ func distSweep(partials []float64, grads []tensor.Vector, b, n, nPairs, d int) {
 	}
 }
 
+// distPass is one parallel distance sweep: ParallelFor runs block b. It
+// lives on the workspace so handing it to the pool allocates nothing.
+type distPass struct {
+	partials     []float64
+	grads        []tensor.Vector
+	n, nPairs, d int
+}
+
+// Do implements tensor.Loop.
+func (p *distPass) Do(_, b int) { distSweep(p.partials, p.grads, b, p.n, p.nPairs, p.d) }
+
 // BlockedPairwiseSquaredDistances computes the same symmetric n×n squared
 // Euclidean distance matrix as PairwiseSquaredDistances — non-finite
 // coordinates saturating each affected pair to +Inf — through the cache-
@@ -131,15 +142,13 @@ func BlockedPairwiseSquaredDistances(grads []tensor.Vector, ws *Workspace, seque
 		workers = nBlocks
 	}
 	if sequential || workers <= 1 || d < distParallelMin {
-		// The sequential schedule is a plain loop (no closure) so the
-		// steady-state workspace path stays allocation-free.
 		for b := 0; b < nBlocks; b++ {
 			distSweep(partials, grads, b, n, nPairs, d)
 		}
 	} else {
-		tensor.ParallelFor(nBlocks, workers, func(_, b int) {
-			distSweep(partials, grads, b, n, nPairs, d)
-		})
+		ws.sweep = distPass{partials: partials, grads: grads, n: n, nPairs: nPairs, d: d}
+		tensor.ParallelFor(nBlocks, workers, &ws.sweep)
+		ws.sweep = distPass{} // retain no caller vectors between calls
 	}
 
 	// Reduce the block partials in ascending block order — a fixed

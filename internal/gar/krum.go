@@ -167,7 +167,7 @@ func PairwiseSquaredDistances(grads []tensor.Vector, sequential bool) [][]float6
 	// fixed block splits — lock-free work stealing keeps every worker busy
 	// until the triangle is exhausted without serialising the steal on a
 	// mutex.
-	tensor.ParallelFor(n, workers, func(_, i int) { fill(i) })
+	tensor.ParallelFor(n, workers, tensor.LoopFunc(func(_, i int) { fill(i) }))
 	return dist
 }
 

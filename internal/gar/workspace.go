@@ -25,6 +25,7 @@ type Workspace struct {
 	distBacking []float64
 	dist        [][]float64
 	partials    []float64
+	sweep       distPass
 
 	scores []float64
 	row    []float64

@@ -144,6 +144,44 @@ func TestWorkspaceZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWorkspaceZeroAllocsParallel extends the zero-allocation claim to the
+// parallel kernels. testing.AllocsPerRun pins GOMAXPROCS=1, where the pool
+// never runs, so this counts process-wide mallocs with runtime.ReadMemStats
+// at GOMAXPROCS=2 and d above both parallel thresholds: a warm distance
+// sweep or column pass must hand its body to the pool without allocating.
+// The count is the minimum over a few windows of calls. The runtime
+// refills its per-P wait-queue caches (sudogs, cleared at every GC) with
+// an occasional allocation while pool goroutines park and wake; a real
+// per-call allocation shows in every window, a refill does not.
+func TestWorkspaceZeroAllocsParallel(t *testing.T) {
+	const n, d, calls, windows = 19, 2*distParallelMin + 13, 4, 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	grads := randVectors(34, n, d, 0)
+	for _, rule := range []GAR{Median{}, NewMultiKrum(4), NewMeanAroundMedian(4), NewBulyan(4)} {
+		ws := NewWorkspace()
+		wg := rule.(WorkspaceGAR)
+		aggregate := func() {
+			if _, err := wg.AggregateInto(ws, grads); err != nil {
+				t.Fatal(err)
+			}
+		}
+		aggregate() // warm the arena and the pool
+		best := math.Inf(1)
+		for w := 0; w < windows; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				aggregate()
+			}
+			runtime.ReadMemStats(&after)
+			best = math.Min(best, float64(after.Mallocs-before.Mallocs)/calls)
+		}
+		if best != 0 {
+			t.Errorf("%s: %.2f allocs per warm parallel aggregation at GOMAXPROCS=2, want 0", rule.Name(), best)
+		}
+	}
+}
+
 // TestWorkspaceReuseAcrossShapes: a single workspace must survive changing
 // n and d between calls (the TCP/UDP trainers see varying survivor counts
 // every round).

@@ -12,7 +12,9 @@ import (
 // through the layer; Backward consumes the loss gradient with respect to the
 // layer output and returns the gradient with respect to the layer input,
 // writing parameter gradients as a side effect (overwriting, not
-// accumulating, per call).
+// accumulating, per call). The input gradient is only computed on request:
+// nothing consumes the first layer's, and for a Dense or Conv2D layer it
+// costs as many multiply-adds as the weight gradient itself.
 type Layer interface {
 	// Name identifies the layer for diagnostics and Table-1 printing.
 	Name() string
@@ -23,9 +25,12 @@ type Layer interface {
 	// Forward computes the layer output for a batch (rows = samples).
 	// train toggles training-only behaviour (dropout).
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
-	// Backward computes the input gradient from the output gradient.
-	// It must be called after Forward on the same batch.
-	Backward(gradOut *tensor.Matrix) *tensor.Matrix
+	// Backward writes the parameter gradients from the output gradient
+	// and returns the input gradient. With needIn false the caller
+	// discards that return, and a layer may skip the work and return nil
+	// (Dense and Conv2D do). It must be called after Forward on the same
+	// batch.
+	Backward(gradOut *tensor.Matrix, needIn bool) *tensor.Matrix
 	// Params returns views (not copies) of the trainable parameter
 	// blocks; writing through them updates the layer.
 	Params() []tensor.Vector
@@ -82,9 +87,12 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+func (d *Dense) Backward(gradOut *tensor.Matrix, needIn bool) *tensor.Matrix {
 	tensor.MatMulTransA(d.gw, d.lastX, gradOut)
 	copy(d.gb, gradOut.ColumnSums())
+	if !needIn {
+		return nil
+	}
 	gradIn := tensor.NewMatrix(gradOut.Rows, d.in)
 	tensor.MatMulTransB(gradIn, gradOut, d.w)
 	return gradIn
@@ -137,7 +145,7 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+func (r *ReLU) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
 	gradIn := gradOut.Clone()
 	for i := range gradIn.Data {
 		if !r.mask[i] {
@@ -176,7 +184,7 @@ func (f *Flatten) NumParams() int { return 0 }
 func (f *Flatten) Forward(x *tensor.Matrix, train bool) *tensor.Matrix { return x }
 
 // Backward implements Layer.
-func (f *Flatten) Backward(gradOut *tensor.Matrix) *tensor.Matrix { return gradOut }
+func (f *Flatten) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix { return gradOut }
 
 // Params implements Layer.
 func (f *Flatten) Params() []tensor.Vector { return nil }
@@ -236,7 +244,7 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (d *Dropout) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+func (d *Dropout) Backward(gradOut *tensor.Matrix, _ bool) *tensor.Matrix {
 	if d.mask == nil {
 		return gradOut
 	}

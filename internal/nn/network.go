@@ -45,11 +45,12 @@ func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 }
 
 // Backward propagates the loss gradient through the stack, filling each
-// layer's parameter gradients.
+// layer's parameter gradients. The first layer's input gradient has no
+// consumer, so it is never computed.
 func (n *Network) Backward(gradOut *tensor.Matrix) {
 	g := gradOut
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		g = n.layers[i].Backward(g)
+		g = n.layers[i].Backward(g, i > 0)
 	}
 }
 
@@ -97,7 +98,9 @@ func (n *Network) GradsVector() tensor.Vector {
 }
 
 // Gradient computes the mini-batch loss and fills the flat gradient: one
-// worker step (forward, softmax cross-entropy, backward).
+// worker step (forward, softmax cross-entropy, backward). The gradient is
+// a freshly allocated vector the caller owns: it aliases no layer state,
+// so it needs no defensive copy and stays valid across later calls.
 func (n *Network) Gradient(x *tensor.Matrix, labels []int) (loss float64, grad tensor.Vector) {
 	logits := n.Forward(x, true)
 	loss, dLogits := SoftmaxCrossEntropy(logits, labels)

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -174,6 +175,75 @@ func TestTable1CNNForwardBackwardShapes(t *testing.T) {
 	if !grad.IsFinite() {
 		t.Fatal("non-finite gradient")
 	}
+}
+
+// allocBytes reports the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBackwardSkipsFirstInputGradient pins the first layer's skipped input
+// gradient on the MLP and the Table-1 CNN (Dense and Conv2D first layers):
+// with needIn false the layer returns nil, allocates at least the input
+// gradient's size less than with needIn true, and writes bit-identical
+// parameter gradients; Network.Backward, which asks for no input gradient
+// at layer 0, yields the same flat gradient as the full chain.
+func TestBackwardSkipsFirstInputGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range []struct {
+		name    string
+		net     *Network
+		in, out int
+	}{
+		{"mlp", NewMLP(64, []int{32, 16}, 10, rng), 64, 10},
+		{"table1-cnn", NewCIFARCNN(rng), 32 * 32 * 3, 10},
+	} {
+		layers := tc.net.Layers()
+		x, y := randBatch(rng, 2, tc.in, tc.out)
+		_, dLogits := SoftmaxCrossEntropy(tc.net.Forward(x, true), y)
+		g := dLogits
+		for i := len(layers) - 1; i > 0; i-- {
+			g = layers[i].Backward(g, true)
+		}
+		gradIn := layers[0].Backward(g, true)
+		if gradIn == nil || gradIn.Rows != x.Rows || gradIn.Cols != tc.in {
+			t.Fatalf("%s: layer 0 input gradient %v with needIn", tc.name, gradIn)
+		}
+		want := tc.net.GradsVector()
+		if got := layers[0].Backward(g, false); got != nil {
+			t.Fatalf("%s: layer 0 returned an input gradient without needIn", tc.name)
+		}
+		if got := tc.net.GradsVector(); !bitsEqual(got, want) {
+			t.Fatalf("%s: parameter gradients depend on needIn", tc.name)
+		}
+		tc.net.Backward(dLogits)
+		if got := tc.net.GradsVector(); !bitsEqual(got, want) {
+			t.Fatalf("%s: Network.Backward diverges from the full chain", tc.name)
+		}
+		with := allocBytes(func() { layers[0].Backward(g, true) })
+		without := allocBytes(func() { layers[0].Backward(g, false) })
+		if need := uint64(8 * len(gradIn.Data)); without+need > with {
+			t.Fatalf("%s: layer 0 allocates %d bytes without needIn, %d with; the %d-byte input gradient is still built",
+				tc.name, without, with, need)
+		}
+	}
+}
+
+// bitsEqual compares two vectors bit-for-bit.
+func bitsEqual(a, b tensor.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestParamsVectorRoundTrip(t *testing.T) {

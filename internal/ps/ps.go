@@ -56,6 +56,9 @@ type WorkerConfig struct {
 	Sampler data.Sampler
 	// Attack, when non-nil, makes the worker Byzantine at the gradient
 	// level: it submits Attack.Forge(...) instead of its honest gradient.
+	// Each worker needs its own instance (attack.New returns a fresh one):
+	// Step runs the Byzantine workers' forges concurrently, and stateful
+	// attacks such as stale keep per-instance history.
 	Attack attack.Attack
 	// HijackParams makes the worker attempt a remote parameter overwrite
 	// every step (succeeds only against a Vanilla server).
@@ -283,7 +286,7 @@ func (c *Cluster) Step() (*StepResult, error) {
 			replica.SetParamsVector(params)
 			x, y := c.cfg.Workers[i].Sampler.Sample(c.cfg.Batch)
 			loss, grad := replica.Gradient(x, y)
-			honest[i] = grad.Clone()
+			honest[i] = grad
 			losses[i] = loss
 			hasLoss[i] = true
 		}(i)
@@ -298,29 +301,31 @@ func (c *Cluster) Step() (*StepResult, error) {
 			correct = append(correct, honest[i])
 		}
 	}
-	submissions := make([]*transport.GradientMsg, n)
 	byzCount := 0
 	for _, w := range c.cfg.Workers {
 		if w.Attack != nil {
 			byzCount++
 		}
 	}
+	// Each Byzantine worker forges in its own goroutine: attacks only read
+	// the shared context slices, and each worker owns its attack instance
+	// and RNG, so the forged vectors do not depend on the interleaving.
+	tags := make([]int, n)
+	forged := make([]tensor.Vector, n)
 	for i := range c.cfg.Workers {
 		w := &c.cfg.Workers[i]
-		if w.Silent {
+		tags[i] = c.step
+		if expect != nil {
+			tags[i] = expect[i]
+		}
+		if w.Silent || tags[i] < 0 || w.Attack == nil {
 			continue
 		}
-		tag := c.step
-		if expect != nil {
-			if expect[i] < 0 {
-				continue
-			}
-			tag = expect[i]
-		}
-		var g tensor.Vector
-		if w.Attack != nil {
-			g = w.Attack.Forge(&attack.Context{
-				Step:   tag,
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			forged[i] = c.cfg.Workers[i].Attack.Forge(&attack.Context{
+				Step:   tags[i],
 				Honest: correct,
 				Own:    honest[i],
 				N:      n,
@@ -328,13 +333,23 @@ func (c *Cluster) Step() (*StepResult, error) {
 				Dim:    c.params.Dim(),
 				Rng:    c.rngs[i],
 			})
-		} else {
-			g = honest[i]
+		}(i)
+	}
+	wg.Wait()
+	submissions := make([]*transport.GradientMsg, n)
+	for i := range c.cfg.Workers {
+		w := &c.cfg.Workers[i]
+		if w.Silent || tags[i] < 0 {
+			continue
+		}
+		g := honest[i]
+		if w.Attack != nil {
+			g = forged[i]
 		}
 		if g == nil {
 			continue
 		}
-		submissions[i] = &transport.GradientMsg{Worker: i, Step: tag, Grad: g}
+		submissions[i] = &transport.GradientMsg{Worker: i, Step: tags[i], Grad: g}
 	}
 
 	// Collection phase: every submission traverses its link.

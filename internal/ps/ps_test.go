@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -134,6 +135,52 @@ func TestMultiKrumTrainingUnderAttack(t *testing.T) {
 	}
 	if acc := c.Model().Accuracy(test.X, test.Y); acc < 0.6 {
 		t.Fatalf("multi-krum accuracy %v under attack, want > 0.6", acc)
+	}
+}
+
+// TestConcurrentForgesAreDeterministic runs the Byzantine workers' forges
+// concurrently — four little-is-enough workers and one stateful stale
+// worker, each with its own attack instance, at the paper's n=19 — and
+// requires two reruns to end on bit-identical parameters. Under -race it
+// also checks the forges share no written state.
+func TestConcurrentForgesAreDeterministic(t *testing.T) {
+	run := func() tensor.Vector {
+		train, _, factory := testFixture(17)
+		workers := honestWorkers(train, 19)
+		for _, i := range []int{2, 6, 10, 14} {
+			atk, err := attack.New("little-is-enough")
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers[i].Attack = atk
+		}
+		stale, err := attack.New("stale")
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[18].Attack = stale
+		c, err := New(Config{
+			ModelFactory: factory,
+			Workers:      workers,
+			GAR:          gar.NewBulyan(4),
+			Optimizer:    &opt.SGD{Schedule: opt.Fixed{Rate: 0.3}},
+			Batch:        16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if _, err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c.Params()
+	}
+	a, b := run(), run()
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("rerun diverges at parameter %d: %v vs %v", i, a[i], b[i])
+		}
 	}
 }
 

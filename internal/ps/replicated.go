@@ -189,7 +189,7 @@ func (c *ReplicatedCluster) Step() (*StepResult, error) {
 			replica.SetParamsVector(agreed)
 			x, y := c.cfg.Workers[i].Sampler.Sample(c.cfg.Batch)
 			loss, grad := replica.Gradient(x, y)
-			honest[i] = grad.Clone()
+			honest[i] = grad
 			losses[i] = loss
 			hasLoss[i] = true
 		}(i)

@@ -68,6 +68,25 @@ type ColumnEngine struct {
 	// and rebuilding the network on each size change would break the
 	// zero-allocation contract.
 	nets [][][2]int
+	// pass is the parallel pass's loop body, kept here so handing it to
+	// the pool allocates nothing.
+	pass colPass
+}
+
+// colPass is one parallel column pass: ParallelFor runs tile t on worker
+// w's tile buffer and kernel scratch.
+type colPass struct {
+	e      *ColumnEngine
+	out    Vector
+	vs     []Vector
+	arg    int
+	kernel ColumnKernel
+}
+
+// Do implements Loop.
+func (p *colPass) Do(w, t int) {
+	span := colTileCoords * len(p.vs)
+	p.e.runTile(&p.e.ctxs[w], p.e.tiles[w*span:(w+1)*span], p.out, p.vs, t, p.arg, p.kernel)
 }
 
 // ensure sizes the scratch for w workers over n-vector columns.
@@ -130,10 +149,9 @@ func (e *ColumnEngine) Run(out Vector, vs []Vector, arg int, kernel ColumnKernel
 		return
 	}
 	e.ensure(workers, n)
-	ParallelFor(nTiles, workers, func(w, t int) {
-		tile := e.tiles[w*colTileCoords*n : (w+1)*colTileCoords*n]
-		e.runTile(&e.ctxs[w], tile, out, vs, t, arg, kernel)
-	})
+	e.pass = colPass{e: e, out: out, vs: vs, arg: arg, kernel: kernel}
+	ParallelFor(nTiles, workers, &e.pass)
+	e.pass = colPass{} // retain no caller vectors between runs
 }
 
 // runTile gathers tile t and applies the kernel to each of its columns.
@@ -238,7 +256,10 @@ func NaNMeanKernel(ctx *ColumnKernelCtx, _ int, _ int) float64 {
 // MeanAroundMedianKernel averages the arg values closest to the column
 // median, skipping non-finite values (median fallback when none are finite,
 // 0 when the median itself is NaN): the MeanAroundMedian GAR and Bulyan's
-// second phase.
+// second phase. On the NaN-free sort-network path the closest values are
+// read off the sorted column by sortedWindowSum; columns it cannot sum
+// exactly like the index selection (and NaN-laced ones) run
+// ClosestToPivotInto on the unsorted column.
 func MeanAroundMedianKernel(ctx *ColumnKernelCtx, _ int, keep int) float64 {
 	col := ctx.Col
 	tmp := ctx.Tmp[:len(col)]
@@ -249,8 +270,9 @@ func MeanAroundMedianKernel(ctx *ColumnKernelCtx, _ int, keep int) float64 {
 	if m == 0 {
 		return 0 // every value NaN: the median is NaN, a null update
 	}
+	sorted := nn == 0 && ctx.Net != nil
 	var med float64
-	if nn == 0 && ctx.Net != nil {
+	if sorted {
 		ApplySortNet(tmp, ctx.Net)
 		if m%2 == 1 {
 			med = tmp[m/2]
@@ -266,18 +288,111 @@ func MeanAroundMedianKernel(ctx *ColumnKernelCtx, _ int, keep int) float64 {
 		// null update rather than let NaN reach the parameters.
 		return 0
 	}
-	closest := ClosestToPivotInto(ctx.Idx, ctx.Dist, col, med, keep)
 	var s float64
 	var cnt int
-	for _, idx := range closest {
-		x := col[idx]
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			s += x
-			cnt++
+	ok := false
+	if sorted {
+		s, cnt, ok = sortedWindowSum(tmp, med, keep)
+	}
+	if !ok {
+		for _, idx := range ClosestToPivotInto(ctx.Idx, ctx.Dist, col, med, keep) {
+			if x := col[idx]; !math.IsNaN(x) && !math.IsInf(x, 0) {
+				s += x
+				cnt++
+			}
 		}
 	}
 	if cnt == 0 {
 		return med
 	}
 	return s / float64(cnt)
+}
+
+// pivotDist is the distance the closest-to-pivot selections rank by:
+// |x−pivot|, NaN saturated to +Inf.
+func pivotDist(x, pivot float64) float64 {
+	d := math.Abs(x - pivot)
+	if d != d {
+		return math.Inf(1)
+	}
+	return d
+}
+
+// sortedWindowSum sums the finite values among the keep values of the
+// ascending, NaN-free column sorted that lie closest to pivot, in the
+// order ClosestToPivotInto would list them (ascending distance), and
+// counts them. Rounding is monotone, so distances shrink towards the pivot
+// from the left and grow away from it on the right: the keep closest form
+// a contiguous window, found by a two-pointer merge outward from the pivot.
+//
+// ClosestToPivotInto breaks distance ties by column index, which the
+// sorted copy has lost. Ties between equal values are harmless (the same
+// addend in either order; -0 and +0 add identically to a sum that starts
+// at +0), and so is a first tie class of exactly two distinct values when
+// both are picked: the sum starts at +0 and 0+x+y = y+x exactly. That is
+// the even-length case, whose two middles are usually equidistant from
+// their midpoint. Otherwise ok is false — and the caller runs the index
+// selection — when one distance is shared by distinct values among the
+// picks, or in the tie class at the window's edge.
+func sortedWindowSum(sorted []float64, pivot float64, keep int) (s float64, cnt int, ok bool) {
+	m := len(sorted)
+	if keep == 0 {
+		return 0, 0, true
+	}
+	// Split so sorted[:r] ≤ pivot ≤ sorted[r:]; the even-length midpoint
+	// can round outside its two middles (subnormal halves), hence the walk.
+	r := m / 2
+	for r > 0 && sorted[r-1] > pivot {
+		r--
+	}
+	for r < m && sorted[r] < pivot {
+		r++
+	}
+	l := r - 1
+	var dl, dr float64 // distances of sorted[l] and sorted[r]
+	if l >= 0 {
+		dl = pivotDist(sorted[l], pivot)
+	}
+	if r < m {
+		dr = pivotDist(sorted[r], pivot)
+	}
+	var lastD, lastX float64
+	pairTie := false // the first two picks are distinct values at one distance
+	for picked := 0; l >= 0 || r < m; picked++ {
+		var x, d float64
+		if r == m || (l >= 0 && dl <= dr) {
+			x, d = sorted[l], dl
+			if l--; l >= 0 {
+				dl = pivotDist(sorted[l], pivot)
+			}
+		} else {
+			x, d = sorted[r], dr
+			if r++; r < m {
+				dr = pivotDist(sorted[r], pivot)
+			}
+		}
+		if picked > 0 && d == lastD {
+			if x != lastX {
+				if picked != 1 || keep < 2 {
+					return 0, 0, false
+				}
+				pairTie = true
+			} else if pairTie && picked == 2 {
+				return 0, 0, false // a third member of the tied pair's class
+			}
+		}
+		if picked >= keep {
+			// Past the window: scan the rest of the edge tie class.
+			if d != lastD {
+				break
+			}
+			continue
+		}
+		lastD, lastX = d, x
+		if !math.IsInf(x, 0) {
+			s += x
+			cnt++
+		}
+	}
+	return s, cnt, true
 }

@@ -461,11 +461,7 @@ func ClosestToPivotInto(dst []int, dscratch []float64, xs []float64, pivot float
 	}
 	dscratch = dscratch[:len(xs)]
 	for i, x := range xs {
-		d := math.Abs(x - pivot)
-		if math.IsNaN(d) {
-			d = math.Inf(1)
-		}
-		dscratch[i] = d
+		dscratch[i] = pivotDist(x, pivot)
 	}
 	// dscratch is NaN-free by construction (NaN distances saturate to
 	// +Inf above), so the fast index selection applies unconditionally.
