@@ -328,12 +328,9 @@ func pivotDist(x, pivot float64) float64 {
 // ClosestToPivotInto breaks distance ties by column index, which the
 // sorted copy has lost. Ties between equal values are harmless (the same
 // addend in either order; -0 and +0 add identically to a sum that starts
-// at +0), and so is a first tie class of exactly two distinct values when
-// both are picked: the sum starts at +0 and 0+x+y = y+x exactly. That is
-// the even-length case, whose two middles are usually equidistant from
-// their midpoint. Otherwise ok is false — and the caller runs the index
-// selection — when one distance is shared by distinct values among the
-// picks, or in the tie class at the window's edge.
+// at +0). ok is false — and the caller runs the index selection — when
+// one distance is shared by distinct values among the picks, or in the
+// tie class at the window's edge.
 func sortedWindowSum(sorted []float64, pivot float64, keep int) (s float64, cnt int, ok bool) {
 	m := len(sorted)
 	if keep == 0 {
@@ -357,7 +354,6 @@ func sortedWindowSum(sorted []float64, pivot float64, keep int) (s float64, cnt 
 		dr = pivotDist(sorted[r], pivot)
 	}
 	var lastD, lastX float64
-	pairTie := false // the first two picks are distinct values at one distance
 	for picked := 0; l >= 0 || r < m; picked++ {
 		var x, d float64
 		if r == m || (l >= 0 && dl <= dr) {
@@ -371,15 +367,8 @@ func sortedWindowSum(sorted []float64, pivot float64, keep int) (s float64, cnt 
 				dr = pivotDist(sorted[r], pivot)
 			}
 		}
-		if picked > 0 && d == lastD {
-			if x != lastX {
-				if picked != 1 || keep < 2 {
-					return 0, 0, false
-				}
-				pairTie = true
-			} else if pairTie && picked == 2 {
-				return 0, 0, false // a third member of the tied pair's class
-			}
+		if picked > 0 && d == lastD && x != lastX {
+			return 0, 0, false
 		}
 		if picked >= keep {
 			// Past the window: scan the rest of the edge tie class.
